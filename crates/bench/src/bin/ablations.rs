@@ -143,8 +143,10 @@ fn ablation_semi_join(sf: f64, params: &QueryParams) {
     );
 
     let (n_in, via_in) = time(|| {
-        semi_join_into(&db, "store_sales", &[("ss_sold_date_sk", &date_pks)], Filter::True, "i1")
+        let constraints = [("ss_sold_date_sk", &date_pks[..])];
+        semi_join_into(&db, "store_sales", &constraints, Filter::True, "i1", &[])
             .expect("semi-join")
+            .rows
     });
     let (n_pt, via_points) = time(|| {
         db.drop_collection("i2");
@@ -255,6 +257,7 @@ fn ablation_embed_scope(sf: f64, params: &QueryParams) {
             &[("ss_cdemo_sk", &cd_pks), ("ss_sold_date_sk", &date_pks)],
             Filter::exists("ss_item_sk"),
             "abl5_intermediate",
+            &[],
         )
         .expect("semi-join");
         let (n, took) = time(|| {
@@ -263,6 +266,8 @@ fn ablation_embed_scope(sf: f64, params: &QueryParams) {
                 store
                     .create_index("abl5_intermediate", IndexDef::single(*field))
                     .expect("index");
+                // Whole dimensions, as the thesis embeds them: this
+                // measures the scope, not step iii's referenced-key fetch.
                 let dims = store.find(dim.name(), &Filter::True);
                 n += embed_documents_from(store, "abl5_intermediate", field, pk, dims)
                     .expect("embed")

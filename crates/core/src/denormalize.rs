@@ -41,7 +41,7 @@ pub fn embed_documents(store: &dyn Store, fact: &str, spec: &EmbedSpec) -> Resul
 
 /// The embedding loop over an explicit dimension document set — reused by
 /// the normalized-model translator (Fig 4.8 step iii), which embeds only
-/// pre-filtered dimension documents.
+/// the dimension documents its intermediate collection references.
 pub fn embed_documents_from(
     store: &dyn Store,
     fact: &str,

@@ -13,9 +13,13 @@ pub mod q46;
 pub mod q50;
 pub mod q7;
 
+#[cfg(test)]
+mod exactness;
+
 use crate::store::Store;
 use doclite_bson::{Document, Value};
-use doclite_docstore::{Filter, FindOptions, IndexDef, Result};
+use doclite_docstore::{Filter, FindOptions, OrdValue, Result};
+use std::collections::BTreeSet;
 use doclite_tpcds::{QueryId, QueryParams};
 
 /// Runs a query against the denormalized data model (experiments 3/6).
@@ -82,16 +86,34 @@ pub fn filter_dim_pks(store: &dyn Store, dim: &str, filter: &Filter, pk: &str) -
         .collect()
 }
 
+/// What step ii hands to step iii: the intermediate's row count and, for
+/// each requested embed field, the distinct values its documents carry.
+#[derive(Clone, Debug)]
+pub struct SemiJoin {
+    /// Documents materialized into the intermediate collection.
+    pub rows: usize,
+    /// One canonical key set per embed field, in the order requested.
+    pub keys: Vec<BTreeSet<OrdValue>>,
+}
+
 /// Step ii: semi-joins the fact collection against the filtered
 /// dimension keys with `$in`, materializing matching fact documents into
-/// the intermediate collection (Fig 4.8 step 7). Returns the row count.
+/// the intermediate collection (Fig 4.8 step 7).
+///
+/// While the documents are in memory it also collects, per
+/// `embed_fields` entry, every value an `EmbedDocuments` update
+/// `{field: pk}` could match: the field's value, each element of an
+/// array value, and null for a missing field. Step iii fetches only the
+/// dimension documents whose key is in that set, the reverse of this
+/// step's `$in`; the others' updates could match nothing.
 pub fn semi_join_into(
     store: &dyn Store,
     fact: &str,
     constraints: &[(&str, &[Value])],
     extra: Filter,
     intermediate: &str,
-) -> Result<usize> {
+    embed_fields: &[&str],
+) -> Result<SemiJoin> {
     let mut parts: Vec<Filter> = constraints
         .iter()
         .map(|(field, values)| Filter::In {
@@ -104,19 +126,33 @@ pub fn semi_join_into(
 
     store.drop_collection(intermediate);
     let mut docs = store.find(fact, &filter);
+    let mut keys = vec![BTreeSet::new(); embed_fields.len()];
     for d in &mut docs {
         d.remove("_id"); // fresh ids in the intermediate collection
+        for (set, field) in keys.iter_mut().zip(embed_fields) {
+            let v = d.get(field).unwrap_or(&Value::Null);
+            if let Value::Array(items) = v {
+                set.extend(items.iter().cloned().map(OrdValue));
+            }
+            set.insert(OrdValue(v.clone()));
+        }
     }
-    store.insert_many(intermediate, docs)
+    let rows = store.insert_many(intermediate, docs)?;
+    Ok(SemiJoin { rows, keys })
 }
 
-/// Indexes the intermediate collection's embed-target fields so the
-/// `EmbedDocuments` updates take the `O(log m)` index path.
-pub fn index_fields(store: &dyn Store, collection: &str, fields: &[&str]) -> Result<()> {
-    for f in fields {
-        store.create_index(collection, IndexDef::single(*f))?;
-    }
-    Ok(())
+/// Step iii's dimension fetch: the documents of `dim` whose primary key
+/// `pk` is one of `keys` (a key set from [`semi_join_into`]). Because
+/// `pk` is unique, embedding these leaves the intermediate exactly as
+/// embedding every document of `dim` would.
+pub(crate) fn referenced_dims(
+    store: &dyn Store,
+    dim: &str,
+    pk: &str,
+    keys: &BTreeSet<OrdValue>,
+) -> Vec<Document> {
+    let values = keys.iter().map(|k| k.value().clone()).collect();
+    store.find(dim, &Filter::In { path: pk.to_owned(), values })
 }
 
 #[cfg(test)]
@@ -147,23 +183,76 @@ mod tests {
             .unwrap();
         let a_keys = [Value::Int64(1), Value::Int64(2)];
         let b_keys = [Value::Int64(0), Value::Int64(1)];
-        let n = semi_join_into(
-            &db,
-            "fact",
-            &[("a", &a_keys), ("b", &b_keys)],
-            Filter::True,
-            "inter",
-        )
-        .unwrap();
-        let expected = (0..20i64)
-            .filter(|i| [1, 2].contains(&(i % 4)) && [0, 1].contains(&(i % 5)))
-            .count();
-        assert_eq!(n, expected);
-        assert_eq!(db.get_collection("inter").unwrap().len(), expected);
+        let join = || {
+            semi_join_into(
+                &db,
+                "fact",
+                &[("a", &a_keys), ("b", &b_keys)],
+                Filter::True,
+                "inter",
+                &["b", "v"],
+            )
+            .unwrap()
+        };
+        let joined = join();
+        let expected: Vec<i64> =
+            (0..20i64).filter(|i| [1, 2].contains(&(i % 4)) && [0, 1].contains(&(i % 5))).collect();
+        assert_eq!(joined.rows, expected.len());
+        assert_eq!(db.get_collection("inter").unwrap().len(), expected.len());
+        // One distinct key set per embed field, in request order.
+        let keys = |set: &BTreeSet<OrdValue>| -> Vec<i64> {
+            set.iter().map(|k| k.value().as_i64().unwrap()).collect()
+        };
+        assert_eq!(keys(&joined.keys[0]), vec![0, 1]);
+        assert_eq!(keys(&joined.keys[1]), expected);
         // re-running replaces, not appends
-        semi_join_into(&db, "fact", &[("a", &a_keys), ("b", &b_keys)], Filter::True, "inter")
+        join();
+        assert_eq!(db.get_collection("inter").unwrap().len(), expected.len());
+    }
+
+    #[test]
+    fn semi_join_keys_cover_every_value_an_embed_update_matches() {
+        let db = Database::new("t");
+        db.collection("fact")
+            .insert_many([
+                doc! {"k" => 1i32},
+                doc! {"k" => 1.0},
+                doc! {"k" => Value::Array(vec![Value::Int64(2), Value::Int64(3)])},
+                doc! {"k" => Value::Null},
+                doc! {"other" => 4i64},
+            ])
             .unwrap();
-        assert_eq!(db.get_collection("inter").unwrap().len(), expected);
+        let joined = semi_join_into(&db, "fact", &[], Filter::True, "inter", &["k"]).unwrap();
+        let keys: Vec<Value> = joined.keys[0].iter().map(|k| k.value().clone()).collect();
+        // Int32(1) and Double(1.0) are one key; an array contributes
+        // itself and its elements; null and missing contribute null.
+        assert_eq!(keys.len(), 5, "{keys:?}");
+        for v in [
+            Value::Null,
+            Value::Int64(1),
+            Value::Int64(2),
+            Value::Int64(3),
+            Value::Array(vec![Value::Int64(2), Value::Int64(3)]),
+        ] {
+            assert!(joined.keys[0].contains(&OrdValue(v.clone())), "missing {v:?}");
+        }
+    }
+
+    #[test]
+    fn referenced_dims_fetches_by_canonical_key() {
+        let db = Database::new("t");
+        db.collection("dim")
+            .insert_many((1..=5i64).map(|i| doc! {"pk" => i, "x" => i * 10}))
+            .unwrap();
+        let keys: BTreeSet<OrdValue> = [Value::Int32(2), Value::Double(4.0), Value::Int64(9)]
+            .into_iter()
+            .map(OrdValue)
+            .collect();
+        let pks: Vec<Value> = referenced_dims(&db, "dim", "pk", &keys)
+            .into_iter()
+            .filter_map(|mut d| d.remove("pk"))
+            .collect();
+        assert_eq!(pks, vec![Value::Int64(2), Value::Int64(4)]);
     }
 
     #[test]

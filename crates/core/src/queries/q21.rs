@@ -2,7 +2,7 @@
 //! inventory before and after a pivot date, keeping the pairs whose
 //! after/before ratio lies in [2/3, 3/2].
 
-use super::{filter_dim_pks, output_collection, semi_join_into};
+use super::{filter_dim_pks, output_collection, referenced_dims, semi_join_into, SemiJoin};
 use crate::denormalize::embed_documents_from;
 use crate::store::Store;
 use doclite_bson::Document;
@@ -90,35 +90,13 @@ pub fn denormalized_pipeline(p: &Q21Params) -> Pipeline {
     tail(head)
 }
 
+const INTERMEDIATE: &str = "query21_intermediate";
+
 /// The Fig 4.8 algorithm against the normalized model.
 pub fn run_normalized(store: &dyn Store, p: &Q21Params) -> Result<Vec<Document>> {
-    let (pivot, lo, hi) = window(p);
-
-    // Step i: filter item on price, date_dim on the ±30-day window.
-    let item_filter = Filter::between("i_current_price", p.price_lo, p.price_hi);
-    let item_pks = filter_dim_pks(store, "item", &item_filter, "i_item_sk");
-    let date_filter = Filter::between("d_date", lo.as_str(), hi.as_str());
-    let date_pks = filter_dim_pks(store, "date_dim", &date_filter, "d_date_sk");
-
-    // Step ii: semi-join inventory.
-    let intermediate = "query21_intermediate";
-    semi_join_into(
-        store,
-        "inventory",
-        &[("inv_item_sk", &item_pks), ("inv_date_sk", &date_pks)],
-        Filter::exists("inv_warehouse_sk"),
-        intermediate,
-    )?;
-
-    // Step iii: embed the aggregation-relevant dimensions — warehouse
-    // (name), the *filtered* items (id), and the *filtered* dates (d_date
-    // drives the before/after conditions).
-    let warehouses = store.find("warehouse", &Filter::True);
-    embed_documents_from(store, intermediate, "inv_warehouse_sk", "w_warehouse_sk", warehouses)?;
-    let items = store.find("item", &item_filter);
-    embed_documents_from(store, intermediate, "inv_item_sk", "i_item_sk", items)?;
-    let dates = store.find("date_dim", &date_filter);
-    embed_documents_from(store, intermediate, "inv_date_sk", "d_date_sk", dates)?;
+    let (pivot, _, _) = window(p);
+    let joined = semi_join(store, p)?;
+    embed_dimensions(store, INTERMEDIATE, &joined)?;
 
     // Step iv: aggregate (same shape as the denormalized pipeline).
     let head = Pipeline::new().group(
@@ -128,5 +106,56 @@ pub fn run_normalized(store: &dyn Store, p: &Q21Params) -> Result<Vec<Document>>
         ])),
         before_after("inv_date_sk.d_date", "inv_quantity_on_hand", &pivot),
     );
-    store.aggregate(intermediate, &tail(head))
+    store.aggregate(INTERMEDIATE, &tail(head))
+}
+
+/// The WHERE predicates of step i: item on price, date_dim on the
+/// ±30-day window.
+pub(super) fn dim_filters(p: &Q21Params) -> (Filter, Filter) {
+    let (_, lo, hi) = window(p);
+    (
+        Filter::between("i_current_price", p.price_lo, p.price_hi),
+        Filter::between("d_date", lo.as_str(), hi.as_str()),
+    )
+}
+
+/// Steps i–ii: filter item and date_dim, then semi-join inventory,
+/// collecting the warehouse, item and date keys.
+pub(super) fn semi_join(store: &dyn Store, p: &Q21Params) -> Result<SemiJoin> {
+    let (item_filter, date_filter) = dim_filters(p);
+    let item_pks = filter_dim_pks(store, "item", &item_filter, "i_item_sk");
+    let date_pks = filter_dim_pks(store, "date_dim", &date_filter, "d_date_sk");
+    semi_join_into(
+        store,
+        "inventory",
+        &[("inv_item_sk", &item_pks), ("inv_date_sk", &date_pks)],
+        Filter::exists("inv_warehouse_sk"),
+        INTERMEDIATE,
+        &["inv_warehouse_sk", "inv_item_sk", "inv_date_sk"],
+    )
+}
+
+/// Step iii: embed the aggregation-relevant dimensions — warehouse
+/// (name), item (id) and date (d_date drives the before/after
+/// conditions) — each restricted to the documents the intermediate
+/// references, which for item and date are a subset of the filtered
+/// ones. Returns the documents modified.
+pub(super) fn embed_dimensions(
+    store: &dyn Store,
+    intermediate: &str,
+    joined: &SemiJoin,
+) -> Result<usize> {
+    let mut modified = 0;
+    for ((field, dim, pk), keys) in [
+        ("inv_warehouse_sk", "warehouse", "w_warehouse_sk"),
+        ("inv_item_sk", "item", "i_item_sk"),
+        ("inv_date_sk", "date_dim", "d_date_sk"),
+    ]
+    .into_iter()
+    .zip(&joined.keys)
+    {
+        let docs = referenced_dims(store, dim, pk, keys);
+        modified += embed_documents_from(store, intermediate, field, pk, docs)?.facts_modified;
+    }
+    Ok(modified)
 }

@@ -3,15 +3,16 @@
 //! ticket, keeping customers who bought in a city other than their
 //! current one.
 
-use super::{filter_dim_pks, output_collection, semi_join_into};
+use super::{filter_dim_pks, output_collection, referenced_dims, semi_join_into, SemiJoin};
 use crate::denormalize::embed_documents_from;
 use crate::store::Store;
 use doclite_bson::{Document, Value};
 use doclite_docstore::{
-    Accumulator, CmpOp, Expr, Filter, GroupId, Pipeline, ProjectField, Result,
+    Accumulator, CmpOp, Expr, Filter, GroupId, OrdValue, Pipeline, ProjectField, Result,
 };
 use doclite_tpcds::queries::Q46Params;
 use doclite_tpcds::QueryId;
+use std::collections::HashMap;
 
 fn city_values(p: &Q46Params) -> Vec<Value> {
     p.cities.iter().map(|c| Value::from(*c)).collect()
@@ -107,74 +108,15 @@ pub fn denormalized_pipeline(p: &Q46Params) -> Pipeline {
     tail(head)
 }
 
+const INTERMEDIATE: &str = "query46_intermediate";
+
 /// The Fig 4.8 algorithm against the normalized model. The derived table
 /// `dn` is materialized as an intermediate collection; the outer joins to
 /// `customer` and `customer_address current_addr` become an embedding
 /// pass over it.
 pub fn run_normalized(store: &dyn Store, p: &Q46Params) -> Result<Vec<Document>> {
-    // Step i: filter the predicated dimensions of the inner query.
-    let date_pks = filter_dim_pks(
-        store,
-        "date_dim",
-        &Filter::and([
-            Filter::is_in("d_dow", p.dows.to_vec()),
-            Filter::is_in("d_year", p.years.to_vec()),
-        ]),
-        "d_date_sk",
-    );
-    let store_pks = filter_dim_pks(
-        store,
-        "store",
-        &Filter::In { path: "s_city".into(), values: city_values(p) },
-        "s_store_sk",
-    );
-    let hd_pks = filter_dim_pks(
-        store,
-        "household_demographics",
-        &Filter::or([
-            Filter::eq("hd_dep_count", p.dep_count),
-            Filter::eq("hd_vehicle_count", p.vehicle_count),
-        ]),
-        "hd_demo_sk",
-    );
-
-    // Step ii: semi-join store_sales.
-    let intermediate = "query46_intermediate";
-    semi_join_into(
-        store,
-        "store_sales",
-        &[
-            ("ss_sold_date_sk", &date_pks),
-            ("ss_store_sk", &store_pks),
-            ("ss_hdemo_sk", &hd_pks),
-        ],
-        Filter::and([Filter::exists("ss_addr_sk"), Filter::exists("ss_customer_sk")]),
-        intermediate,
-    )?;
-
-    // Step iii: embed the aggregation-relevant dimensions — the bought
-    // address (ca_city groups the inner query) and the customer with the
-    // customer's *current* address expanded (the outer query's
-    // `current_addr` join).
-    let addresses = store.find("customer_address", &Filter::True);
-    embed_documents_from(store, intermediate, "ss_addr_sk", "ca_address_sk", addresses.clone())?;
-
-    let mut customers = store.find("customer", &Filter::True);
-    // Expand c_current_addr_sk in memory (customer ⋈ current_addr).
-    let addr_by_pk: std::collections::HashMap<i64, &Document> = addresses
-        .iter()
-        .filter_map(|a| a.get("ca_address_sk").and_then(Value::as_i64).map(|k| (k, a)))
-        .collect();
-    for c in &mut customers {
-        if let Some(k) = c.get("c_current_addr_sk").and_then(Value::as_i64) {
-            if let Some(addr) = addr_by_pk.get(&k) {
-                let mut a = (*addr).clone();
-                a.remove("_id");
-                c.set("c_current_addr_sk", Value::Document(a));
-            }
-        }
-    }
-    embed_documents_from(store, intermediate, "ss_customer_sk", "c_customer_sk", customers)?;
+    let joined = semi_join(store, p)?;
+    embed_dimensions(store, INTERMEDIATE, &joined)?;
 
     // Step iv: flatten and aggregate (same tail as denormalized).
     let head = Pipeline::new().project([
@@ -202,5 +144,101 @@ pub fn run_normalized(store: &dyn Store, p: &Q46Params) -> Result<Vec<Document>>
         ("amt", ProjectField::Compute(Expr::field("ss_coupon_amt"))),
         ("profit", ProjectField::Compute(Expr::field("ss_net_profit"))),
     ]);
-    store.aggregate(intermediate, &tail(head))
+    store.aggregate(INTERMEDIATE, &tail(head))
+}
+
+/// Steps i–ii: filter the predicated dimensions of the inner query, then
+/// semi-join store_sales, collecting the bought-address and customer
+/// keys.
+pub(super) fn semi_join(store: &dyn Store, p: &Q46Params) -> Result<SemiJoin> {
+    let date_pks = filter_dim_pks(
+        store,
+        "date_dim",
+        &Filter::and([
+            Filter::is_in("d_dow", p.dows.to_vec()),
+            Filter::is_in("d_year", p.years.to_vec()),
+        ]),
+        "d_date_sk",
+    );
+    let store_pks = filter_dim_pks(
+        store,
+        "store",
+        &Filter::In { path: "s_city".into(), values: city_values(p) },
+        "s_store_sk",
+    );
+    let hd_pks = filter_dim_pks(
+        store,
+        "household_demographics",
+        &Filter::or([
+            Filter::eq("hd_dep_count", p.dep_count),
+            Filter::eq("hd_vehicle_count", p.vehicle_count),
+        ]),
+        "hd_demo_sk",
+    );
+    semi_join_into(
+        store,
+        "store_sales",
+        &[
+            ("ss_sold_date_sk", &date_pks),
+            ("ss_store_sk", &store_pks),
+            ("ss_hdemo_sk", &hd_pks),
+        ],
+        Filter::and([Filter::exists("ss_addr_sk"), Filter::exists("ss_customer_sk")]),
+        INTERMEDIATE,
+        &["ss_addr_sk", "ss_customer_sk"],
+    )
+}
+
+/// Step iii: embed the aggregation-relevant dimensions — the bought
+/// address (ca_city groups the inner query) and the customer with the
+/// customer's *current* address expanded (the outer query's
+/// `current_addr` join). Only referenced customers are fetched, and only
+/// the addresses that are bought addresses or those customers' current
+/// ones. Returns the documents modified.
+pub(super) fn embed_dimensions(
+    store: &dyn Store,
+    intermediate: &str,
+    joined: &SemiJoin,
+) -> Result<usize> {
+    let (bought, customer_keys) = (&joined.keys[0], &joined.keys[1]);
+    let mut customers = referenced_dims(store, "customer", "c_customer_sk", customer_keys);
+    let mut address_keys = bought.clone();
+    address_keys.extend(
+        customers
+            .iter()
+            .filter_map(|c| c.get("c_current_addr_sk").and_then(Value::as_i64))
+            .map(|k| OrdValue(Value::Int64(k))),
+    );
+    let addresses = referenced_dims(store, "customer_address", "ca_address_sk", &address_keys);
+
+    let bought_addresses = addresses
+        .iter()
+        .filter(|a| {
+            a.get("ca_address_sk")
+                .is_some_and(|k| bought.contains(&OrdValue(k.clone())))
+        })
+        .cloned()
+        .collect();
+    let mut modified =
+        embed_documents_from(store, intermediate, "ss_addr_sk", "ca_address_sk", bought_addresses)?
+            .facts_modified;
+
+    // Expand c_current_addr_sk in memory (customer ⋈ current_addr).
+    let addr_by_pk: HashMap<i64, &Document> = addresses
+        .iter()
+        .filter_map(|a| a.get("ca_address_sk").and_then(Value::as_i64).map(|k| (k, a)))
+        .collect();
+    for c in &mut customers {
+        if let Some(k) = c.get("c_current_addr_sk").and_then(Value::as_i64) {
+            if let Some(addr) = addr_by_pk.get(&k) {
+                let mut a = (*addr).clone();
+                a.remove("_id");
+                c.set("c_current_addr_sk", Value::Document(a));
+            }
+        }
+    }
+    modified +=
+        embed_documents_from(store, intermediate, "ss_customer_sk", "c_customer_sk", customers)?
+            .facts_modified;
+    Ok(modified)
 }

@@ -6,7 +6,7 @@
 //! key (ticket number), which is why it is the one query the thesis
 //! found *faster* on the sharded deployment (Section 4.3 item iii).
 
-use super::{output_collection, semi_join_into};
+use super::{output_collection, referenced_dims, semi_join_into, SemiJoin};
 use crate::denormalize::embed_documents_from;
 use crate::store::Store;
 use doclite_bson::{Document, Value};
@@ -127,12 +127,56 @@ pub fn denormalized_pipeline(p: &Q50Params) -> Pipeline {
     tail(head, |f| format!("ss_store_sk.{f}"), Expr::field("diff"))
 }
 
+const INTERMEDIATE: &str = "query50_intermediate";
+
 /// The Fig 4.8 algorithm against the normalized model, extended with the
 /// fact-to-fact join: returns for the target month are fetched, the
 /// sales fact is semi-joined on their ticket numbers (the shard-key
 /// predicate!), and each return document is embedded into its matching
 /// sale in the intermediate collection.
 pub fn run_normalized(store: &dyn Store, p: &Q50Params) -> Result<Vec<Document>> {
+    let (joined, returns) = semi_join(store, p)?;
+
+    // Step iii-a: embed each return into its matching sale line (ticket,
+    // item, customer) — one targeted multi-update per return document.
+    for mut ret in returns {
+        ret.remove("_id");
+        let (Some(ticket), Some(item), Some(customer)) = (
+            ret.get("sr_ticket_number").cloned(),
+            ret.get("sr_item_sk").cloned(),
+            ret.get("sr_customer_sk").cloned(),
+        ) else {
+            continue;
+        };
+        store.update(
+            INTERMEDIATE,
+            &Filter::and([
+                Filter::eq("ss_ticket_number", ticket),
+                Filter::eq("ss_item_sk", item),
+                Filter::eq("ss_customer_sk", customer),
+            ]),
+            &UpdateSpec::set("sr", Value::Document(ret)),
+            false,
+            true,
+        )?;
+    }
+
+    embed_dimensions(store, INTERMEDIATE, &joined)?;
+
+    // Step iv: aggregate. Here both date keys are raw integers, so the
+    // day difference is a direct subtraction of surrogate keys, exactly
+    // as the SQL computes it.
+    let diff = Expr::subtract(Expr::field("sr.sr_returned_date_sk"), Expr::field("ss_sold_date_sk"));
+    let head = Pipeline::new().match_stage(Filter::exists("sr"));
+    let pipeline = tail(head, |f| format!("ss_store_sk.{f}"), diff);
+    store.aggregate(INTERMEDIATE, &pipeline)
+}
+
+/// Steps i–ii: filter date_dim d2 (returned month), semi-join
+/// store_returns on it, then semi-join store_sales on the returns'
+/// ticket numbers, collecting the store keys. Returns the semi-join and
+/// the return documents.
+pub(super) fn semi_join(store: &dyn Store, p: &Q50Params) -> Result<(SemiJoin, Vec<Document>)> {
     // Step i: filter date_dim d2 (returned month).
     let d2_filter = Filter::and([Filter::eq("d_year", p.year), Filter::eq("d_moy", p.moy)]);
     let d2_pks = super::filter_dim_pks(store, "date_dim", &d2_filter, "d_date_sk");
@@ -156,8 +200,7 @@ pub fn run_normalized(store: &dyn Store, p: &Q50Params) -> Result<Vec<Document>>
         t.dedup_by(|a, b| a.canonical_eq(b));
         t
     };
-    let intermediate = "query50_intermediate";
-    semi_join_into(
+    let joined = semi_join_into(
         store,
         "store_sales",
         &[("ss_ticket_number", &tickets)],
@@ -167,42 +210,20 @@ pub fn run_normalized(store: &dyn Store, p: &Q50Params) -> Result<Vec<Document>>
             Filter::exists("ss_store_sk"),
             Filter::exists("ss_customer_sk"),
         ]),
-        intermediate,
+        INTERMEDIATE,
+        &["ss_store_sk"],
     )?;
+    Ok((joined, returns))
+}
 
-    // Step iii-a: embed each return into its matching sale line (ticket,
-    // item, customer) — one targeted multi-update per return document.
-    for mut ret in returns {
-        ret.remove("_id");
-        let (Some(ticket), Some(item), Some(customer)) = (
-            ret.get("sr_ticket_number").cloned(),
-            ret.get("sr_item_sk").cloned(),
-            ret.get("sr_customer_sk").cloned(),
-        ) else {
-            continue;
-        };
-        store.update(
-            intermediate,
-            &Filter::and([
-                Filter::eq("ss_ticket_number", ticket),
-                Filter::eq("ss_item_sk", item),
-                Filter::eq("ss_customer_sk", customer),
-            ]),
-            &UpdateSpec::set("sr", Value::Document(ret)),
-            false,
-            true,
-        )?;
-    }
-
-    // Step iii-b: embed store (the grouping dimension).
-    let stores = store.find("store", &Filter::True);
-    embed_documents_from(store, intermediate, "ss_store_sk", "s_store_sk", stores)?;
-
-    // Step iv: aggregate. Here both date keys are raw integers, so the
-    // day difference is a direct subtraction of surrogate keys, exactly
-    // as the SQL computes it.
-    let diff = Expr::subtract(Expr::field("sr.sr_returned_date_sk"), Expr::field("ss_sold_date_sk"));
-    let head = Pipeline::new().match_stage(Filter::exists("sr"));
-    let pipeline = tail(head, |f| format!("ss_store_sk.{f}"), diff);
-    store.aggregate(intermediate, &pipeline)
+/// Step iii-b: embed the referenced stores (the grouping dimension).
+/// Returns the documents modified.
+pub(super) fn embed_dimensions(
+    store: &dyn Store,
+    intermediate: &str,
+    joined: &SemiJoin,
+) -> Result<usize> {
+    let stores = referenced_dims(store, "store", "s_store_sk", &joined.keys[0]);
+    let report = embed_documents_from(store, intermediate, "ss_store_sk", "s_store_sk", stores)?;
+    Ok(report.facts_modified)
 }

@@ -2,10 +2,10 @@
 //! sales price per item, for a demographic slice in one year, where the
 //! promotion used no email or event channel.
 
-use super::{filter_dim_pks, output_collection, semi_join_into};
+use super::{filter_dim_pks, output_collection, referenced_dims, semi_join_into, SemiJoin};
 use crate::denormalize::embed_documents_from;
 use crate::store::Store;
-use doclite_bson::Document;
+use doclite_bson::{Document, Value};
 use doclite_docstore::{
     Accumulator, Expr, Filter, GroupId, Pipeline, ProjectField, Result,
 };
@@ -62,9 +62,14 @@ fn promo_filter() -> Filter {
     ])
 }
 
+const INTERMEDIATE: &str = "query7_intermediate";
+
+/// Step i's surviving keys: customer demographics, promotion, date.
+type DimPks = (Vec<Value>, Vec<Value>, Vec<Value>);
+
 /// Step i of Fig 4.8, sequentially (the thesis: "the entire query was
 /// performed on a single thread").
-fn dim_pks(store: &dyn Store, p: &Q7Params) -> (Vec<doclite_bson::Value>, Vec<doclite_bson::Value>, Vec<doclite_bson::Value>) {
+pub(super) fn dim_pks(store: &dyn Store, p: &Q7Params) -> DimPks {
     let cd = filter_dim_pks(store, "customer_demographics", &cd_filter(p), "cd_demo_sk");
     let promo = filter_dim_pks(store, "promotion", &promo_filter(), "p_promo_sk");
     let date = filter_dim_pks(store, "date_dim", &Filter::eq("d_year", p.year), "d_date_sk");
@@ -75,10 +80,7 @@ fn dim_pks(store: &dyn Store, p: &Q7Params) -> (Vec<doclite_bson::Value>, Vec<do
 /// future-work suggestion (Section 5.2): "individual threads can be used
 /// to query each collection in parallel". Collection-level locking makes
 /// this safe, exactly as the thesis argues.
-fn dim_pks_parallel(
-    store: &dyn Store,
-    p: &Q7Params,
-) -> (Vec<doclite_bson::Value>, Vec<doclite_bson::Value>, Vec<doclite_bson::Value>) {
+fn dim_pks_parallel(store: &dyn Store, p: &Q7Params) -> DimPks {
     std::thread::scope(|s| {
         let cd = s.spawn(|| {
             filter_dim_pks(store, "customer_demographics", &cd_filter(p), "cd_demo_sk")
@@ -98,44 +100,18 @@ fn dim_pks_parallel(
 
 /// The Fig 4.8 algorithm against the normalized model.
 pub fn run_normalized(store: &dyn Store, p: &Q7Params) -> Result<Vec<Document>> {
-    let (cd_pks, promo_pks, date_pks) = dim_pks(store, p);
-    run_after_dim_filter(store, cd_pks, promo_pks, date_pks)
+    run_after_dim_filter(store, &dim_pks(store, p))
 }
 
 /// The Fig 4.8 algorithm with multithreaded dimension filtering (the
 /// Section 5.2 extension). Same answers as [`run_normalized`].
 pub fn run_normalized_parallel(store: &dyn Store, p: &Q7Params) -> Result<Vec<Document>> {
-    let (cd_pks, promo_pks, date_pks) = dim_pks_parallel(store, p);
-    run_after_dim_filter(store, cd_pks, promo_pks, date_pks)
+    run_after_dim_filter(store, &dim_pks_parallel(store, p))
 }
 
-fn run_after_dim_filter(
-    store: &dyn Store,
-    cd_pks: Vec<doclite_bson::Value>,
-    promo_pks: Vec<doclite_bson::Value>,
-    date_pks: Vec<doclite_bson::Value>,
-) -> Result<Vec<Document>> {
-
-    // Step ii: semi-join the fact collection.
-    let intermediate = "query7_intermediate";
-    semi_join_into(
-        store,
-        "store_sales",
-        &[
-            ("ss_cdemo_sk", &cd_pks),
-            ("ss_promo_sk", &promo_pks),
-            ("ss_sold_date_sk", &date_pks),
-        ],
-        Filter::exists("ss_item_sk"),
-        intermediate,
-    )?;
-
-    // Step iii: embed only the dimension used by the aggregation (item,
-    // for i_item_id). As in MongoDB, the intermediate collection has no
-    // secondary indexes: each embedding update scans it — the cost the
-    // thesis identifies as what makes the normalized model slow.
-    let items = store.find("item", &Filter::True);
-    embed_documents_from(store, intermediate, "ss_item_sk", "i_item_sk", items)?;
+fn run_after_dim_filter(store: &dyn Store, pks: &DimPks) -> Result<Vec<Document>> {
+    let joined = semi_join(store, pks)?;
+    embed_dimensions(store, INTERMEDIATE, &joined)?;
 
     // Step iv: aggregate.
     let pipeline = Pipeline::new()
@@ -157,5 +133,40 @@ fn run_after_dim_filter(
             ("agg4", ProjectField::Include),
         ])
         .out(output_collection(QueryId::Q7));
-    store.aggregate(intermediate, &pipeline)
+    store.aggregate(INTERMEDIATE, &pipeline)
+}
+
+/// Step ii: semi-join the fact collection, collecting the item keys.
+pub(super) fn semi_join(
+    store: &dyn Store,
+    (cd_pks, promo_pks, date_pks): &DimPks,
+) -> Result<SemiJoin> {
+    semi_join_into(
+        store,
+        "store_sales",
+        &[
+            ("ss_cdemo_sk", cd_pks),
+            ("ss_promo_sk", promo_pks),
+            ("ss_sold_date_sk", date_pks),
+        ],
+        Filter::exists("ss_item_sk"),
+        INTERMEDIATE,
+        &["ss_item_sk"],
+    )
+}
+
+/// Step iii: embed only the dimension used by the aggregation (item, for
+/// i_item_id), and of it only the items the intermediate references. As
+/// in MongoDB, the intermediate collection has no secondary indexes:
+/// each embedding update still scans it — the cost the thesis identifies
+/// as what makes the normalized model slow. Returns the documents
+/// modified.
+pub(super) fn embed_dimensions(
+    store: &dyn Store,
+    intermediate: &str,
+    joined: &SemiJoin,
+) -> Result<usize> {
+    let items = referenced_dims(store, "item", "i_item_sk", &joined.keys[0]);
+    let report = embed_documents_from(store, intermediate, "ss_item_sk", "i_item_sk", items)?;
+    Ok(report.facts_modified)
 }
